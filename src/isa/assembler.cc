@@ -1,16 +1,41 @@
 #include "isa/assembler.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "sim/log.hh"
 
 namespace cbsim {
 
+Program::Program(std::vector<Instruction> code,
+                 std::map<Addr, std::string> symbols)
+    : storage_(std::make_shared<const Storage>(
+          Storage{std::move(code), std::move(symbols)})),
+      code_(storage_->code.data()), size_(storage_->code.size())
+{
+}
+
+Program&
+Program::operator=(Program&& other) noexcept
+{
+    storage_ = std::move(other.storage_);
+    code_ = std::exchange(other.code_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+}
+
+const std::map<Addr, std::string>&
+Program::symbols() const
+{
+    static const std::map<Addr, std::string> none;
+    return storage_ ? storage_->symbols : none;
+}
+
 std::string
 Program::listing() const
 {
     std::ostringstream os;
-    for (std::size_t i = 0; i < code_.size(); ++i)
+    for (std::size_t i = 0; i < size_; ++i)
         os << i << ": " << code_[i].toString() << '\n';
     return os.str();
 }
@@ -27,14 +52,22 @@ Assembler::label(const std::string& name)
 void
 Assembler::dataSymbol(const std::string& name, Addr addr)
 {
-    symbols_.emplace(addr, name); // first binding wins
+    symbols_.try_emplace(addr, name); // first binding wins
+}
+
+std::string
+Assembler::uniqueLabel(const char* stem) const
+{
+    return std::string(stem) + "_" + std::to_string(code_.size());
 }
 
 Instruction&
 Assembler::emit(Instruction ins)
 {
-    // Programs run tens to hundreds of instructions; one up-front
-    // reservation replaces the doubling cascade from capacity 1.
+    // Sync micro-benchmark programs run tens to hundreds of
+    // instructions, so one up-front reservation replaces the doubling
+    // cascade from capacity 1. Workload programs run thousands; their
+    // builder sizes them with reserve().
     if (code_.capacity() == 0)
         code_.reserve(128);
     code_.push_back(ins);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,26 +22,35 @@
 
 namespace cbsim {
 
-/** An immutable, fully-resolved instruction sequence for one thread. */
+/**
+ * An immutable, fully-resolved instruction sequence for one thread.
+ *
+ * Code and symbols live in one shared, read-only storage block, so
+ * copying a Program (WorkloadBuild keeps one, every Chip::setProgram
+ * takes another) is O(1) and never duplicates the instructions. at()
+ * reads through a cached pointer: one load, as with a plain vector.
+ */
 class Program
 {
   public:
     Program() = default;
     explicit Program(std::vector<Instruction> code,
-                     std::map<Addr, std::string> symbols = {})
-        : code_(std::move(code)), symbols_(std::move(symbols))
-    {
-    }
+                     std::map<Addr, std::string> symbols = {});
+
+    Program(const Program&) = default;
+    Program& operator=(const Program&) = default;
+    Program(Program&& other) noexcept { *this = std::move(other); }
+    Program& operator=(Program&& other) noexcept;
 
     const Instruction&
     at(std::uint64_t pc) const
     {
-        CBSIM_ASSERT(pc < code_.size(), "pc out of range");
+        CBSIM_ASSERT(pc < size_, "pc out of range");
         return code_[pc];
     }
 
-    std::size_t size() const { return code_.size(); }
-    bool empty() const { return code_.empty(); }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /** Disassembly listing (for debugging and docs). */
     std::string listing() const;
@@ -49,13 +59,21 @@ class Program
      * Data symbols declared via Assembler::dataSymbol, address-ordered.
      * Attribution (src/obs/attribution.hh) resolves contended line
      * addresses against this map so reports print "lock0" /
-     * "barrier0.counter" instead of raw hex.
+     * "barrier0.counter" instead of raw hex. Empty for a default
+     * Program.
      */
-    const std::map<Addr, std::string>& symbols() const { return symbols_; }
+    const std::map<Addr, std::string>& symbols() const;
 
   private:
-    std::vector<Instruction> code_;
-    std::map<Addr, std::string> symbols_;
+    struct Storage
+    {
+        std::vector<Instruction> code;
+        std::map<Addr, std::string> symbols;
+    };
+
+    std::shared_ptr<const Storage> storage_;
+    const Instruction* code_ = nullptr; ///< storage_->code.data()
+    std::size_t size_ = 0;              ///< storage_->code.size()
 };
 
 /**
@@ -76,10 +94,25 @@ class Assembler
 
     /**
      * Bind @p name to data address @p addr in the emitted Program's
-     * symbol table. First binding wins (sync emitters re-register on
-     * every episode); an address may carry only one name.
+     * symbol table. First binding wins; an address may carry only one
+     * name.
      */
     void dataSymbol(const std::string& name, Addr addr);
+
+    /**
+     * True once @p addr carries a data symbol. Sync emitters test a
+     * handle's first address with it and bind the handle's names only
+     * on its first emission into this Assembler.
+     */
+    bool hasSymbol(Addr addr) const { return symbols_.count(addr) != 0; }
+
+    /**
+     * Label unique within this Assembler: @p stem + "_" + the index of
+     * the next instruction ("spn_42"). Sync emitters name their local
+     * branch targets with it; two labels with the same stem must not be
+     * made at one emission point.
+     */
+    std::string uniqueLabel(const char* stem) const;
 
     // --- ALU / control -------------------------------------------------
     Instruction& movImm(Reg rd, std::uint64_t imm);
@@ -146,6 +179,9 @@ class Assembler
 
     /** Number of instructions emitted so far. */
     std::size_t size() const { return code_.size(); }
+
+    /** Reserve room for @p instructions (a known program size). */
+    void reserve(std::size_t instructions) { code_.reserve(instructions); }
 
     /** Resolve labels and produce the Program; fatal on undefined label. */
     Program assemble();

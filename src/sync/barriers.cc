@@ -14,12 +14,6 @@ barrierAlgoName(BarrierAlgo a)
 
 namespace {
 
-std::string
-uniq(const Assembler& a, const char* stem)
-{
-    return std::string(stem) + "_" + std::to_string(a.size());
-}
-
 bool
 fenced(SyncFlavor f)
 {
@@ -51,8 +45,8 @@ emitRacyStoreReg(Assembler& a, SyncFlavor flavor, Reg src, Reg base,
 void
 emitSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base)
 {
-    const auto spn = uniq(a, "spn");
-    const auto out = uniq(a, "out");
+    const auto spn = a.uniqueLabel("spn");
+    const auto out = a.uniqueLabel("out");
     switch (flavor) {
       case SyncFlavor::Mesi: {
         a.label(spn);
@@ -83,8 +77,8 @@ emitSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base)
 void
 emitSpinUntilEqual(Assembler& a, SyncFlavor flavor, Reg base, Reg want)
 {
-    const auto spn = uniq(a, "spn");
-    const auto out = uniq(a, "out");
+    const auto spn = a.uniqueLabel("spn");
+    const auto out = a.uniqueLabel("out");
     switch (flavor) {
       case SyncFlavor::Mesi: {
         a.label(spn);
@@ -127,9 +121,9 @@ emitSrBarrier(Assembler& a, const BarrierHandle& b, SyncFlavor flavor,
     a.notOp(sreg::sense, sreg::sense);
     a.st(sreg::sense, sreg::tmp, 0);
 
-    const auto last = uniq(a, "last");
-    const auto bcast = uniq(a, "bcast");
-    const auto end = uniq(a, "end");
+    const auto last = a.uniqueLabel("last");
+    const auto bcast = a.uniqueLabel("bcast");
+    const auto end = a.uniqueLabel("end");
 
     if (b.atomicCounter) {
         // Fig. 14: a single fetch&decrement on the counter.
@@ -245,6 +239,33 @@ emitTreeBarrier(Assembler& a, const BarrierHandle& b, SyncFlavor flavor,
         a.recordEnd(SyncKind::Barrier);
 }
 
+/**
+ * Bind @p b's attribution symbols into @p a's data-symbol table, on the
+ * barrier's first episode only: the handle owns its lines, so a bound
+ * first line means every name is bound already.
+ */
+void
+registerBarrierSymbols(Assembler& a, const BarrierHandle& b)
+{
+    if (b.name.empty())
+        return;
+    if (b.algo == BarrierAlgo::SenseReversing) {
+        if (a.hasSymbol(b.counter))
+            return;
+        a.dataSymbol(b.name + ".counter", b.counter);
+        a.dataSymbol(b.name + ".sense", b.senseWord);
+        return;
+    }
+    if (b.childNotReady0.empty() || a.hasSymbol(b.childNotReady0.front()))
+        return;
+    for (std::size_t t = 0; t < b.wakeSense.size(); ++t) {
+        const std::string n = std::to_string(t);
+        a.dataSymbol(b.name + ".cnr0." + n, b.childNotReady0[t]);
+        a.dataSymbol(b.name + ".cnr1." + n, b.childNotReady1[t]);
+        a.dataSymbol(b.name + ".wake." + n, b.wakeSense[t]);
+    }
+}
+
 } // namespace
 
 BarrierHandle
@@ -306,22 +327,7 @@ void
 emitBarrier(Assembler& a, const BarrierHandle& barrier, SyncFlavor flavor,
             CoreId tid, bool record)
 {
-    if (!barrier.name.empty()) {
-        if (barrier.algo == BarrierAlgo::SenseReversing) {
-            a.dataSymbol(barrier.name + ".counter", barrier.counter);
-            a.dataSymbol(barrier.name + ".sense", barrier.senseWord);
-        } else {
-            for (std::size_t t = 0; t < barrier.wakeSense.size(); ++t) {
-                const std::string n = std::to_string(t);
-                a.dataSymbol(barrier.name + ".cnr0." + n,
-                             barrier.childNotReady0[t]);
-                a.dataSymbol(barrier.name + ".cnr1." + n,
-                             barrier.childNotReady1[t]);
-                a.dataSymbol(barrier.name + ".wake." + n,
-                             barrier.wakeSense[t]);
-            }
-        }
-    }
+    registerBarrierSymbols(a, barrier);
     if (barrier.algo == BarrierAlgo::SenseReversing)
         emitSrBarrier(a, barrier, flavor, tid, record);
     else

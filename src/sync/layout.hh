@@ -58,8 +58,10 @@ class SyncLayout
     /**
      * Next instance name for @p stem: "lock0", "lock1", "barrier0" —
      * one counter per stem, so names are stable and unique within a
-     * layout. Used by the sync make* builders to name handles; the
-     * emitters register those names as data symbols for attribution.
+     * layout. Used by the sync make* builders to name handles. The
+     * layout binds no symbol: the emitters bind a handle's names as
+     * data symbols, for attribution, in each Assembler that emits the
+     * handle, on its first episode there (see LockHandle::name).
      */
     std::string autoName(const std::string& stem);
 

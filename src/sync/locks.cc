@@ -53,13 +53,6 @@ lockAlgoName(LockAlgo a)
 
 namespace {
 
-/** Unique label suffix from the emission point. */
-std::string
-uniq(const Assembler& a, const char* stem)
-{
-    return std::string(stem) + "_" + std::to_string(a.size());
-}
-
 bool
 fenced(SyncFlavor f)
 {
@@ -91,9 +84,9 @@ emitTasAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
     if (record)
         a.recordStart(SyncKind::Acquire);
     a.movImm(sreg::addr, lock.lockWord);
-    const auto acq = uniq(a, "acq");
-    const auto spn = uniq(a, "spn");
-    const auto cs = uniq(a, "cs");
+    const auto acq = a.uniqueLabel("acq");
+    const auto spn = a.uniqueLabel("spn");
+    const auto cs = a.uniqueLabel("cs");
 
     switch (flavor) {
       case SyncFlavor::Mesi:
@@ -143,10 +136,10 @@ emitTtasAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
     if (record)
         a.recordStart(SyncKind::Acquire);
     a.movImm(sreg::addr, lock.lockWord);
-    const auto acq = uniq(a, "acq");
-    const auto spn = uniq(a, "spn");
-    const auto tas = uniq(a, "tas");
-    const auto cs = uniq(a, "cs");
+    const auto acq = a.uniqueLabel("acq");
+    const auto spn = a.uniqueLabel("spn");
+    const auto tas = a.uniqueLabel("tas");
+    const auto cs = a.uniqueLabel("cs");
 
     switch (flavor) {
       case SyncFlavor::Mesi: {
@@ -248,8 +241,8 @@ emitClhAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
     // Save pred for the release ($i->prev in Fig. 12).
     a.st(sreg::pred, sreg::tmp, 8);
 
-    const auto spn = uniq(a, "spn");
-    const auto cs = uniq(a, "cs");
+    const auto spn = a.uniqueLabel("spn");
+    const auto cs = a.uniqueLabel("cs");
     switch (flavor) {
       case SyncFlavor::Mesi: {
         a.label(spn);
@@ -320,8 +313,8 @@ void
 emitLockSpinUntilEqual(Assembler& a, SyncFlavor flavor, Reg base,
                        Reg want, std::int64_t off = 0)
 {
-    const auto spn = uniq(a, "spn");
-    const auto out = uniq(a, "out");
+    const auto spn = a.uniqueLabel("spn");
+    const auto out = a.uniqueLabel("out");
     switch (flavor) {
       case SyncFlavor::Mesi: {
         a.label(spn);
@@ -353,8 +346,8 @@ void
 emitLockSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base,
                       std::int64_t off = 0)
 {
-    const auto spn = uniq(a, "spn");
-    const auto out = uniq(a, "out");
+    const auto spn = a.uniqueLabel("spn");
+    const auto out = a.uniqueLabel("out");
     switch (flavor) {
       case SyncFlavor::Mesi: {
         a.label(spn);
@@ -386,8 +379,8 @@ void
 emitLockSpinUntilNonZero(Assembler& a, SyncFlavor flavor, Reg base,
                          std::int64_t off = 0)
 {
-    const auto spn = uniq(a, "spn");
-    const auto out = uniq(a, "out");
+    const auto spn = a.uniqueLabel("spn");
+    const auto out = a.uniqueLabel("out");
     switch (flavor) {
       case SyncFlavor::Mesi: {
         a.label(spn);
@@ -472,7 +465,7 @@ emitMcsAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 {
     const bool f = fenced(flavor);
     const Addr my_node = lock.nodes.at(tid);
-    const auto have_lock = uniq(a, "got");
+    const auto have_lock = a.uniqueLabel("got");
     if (record)
         a.recordStart(SyncKind::Acquire);
 
@@ -513,8 +506,8 @@ emitMcsRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 {
     const bool f = fenced(flavor);
     const Addr my_node = lock.nodes.at(tid);
-    const auto handoff = uniq(a, "handoff");
-    const auto done = uniq(a, "done");
+    const auto handoff = a.uniqueLabel("handoff");
+    const auto done = a.uniqueLabel("done");
     if (record)
         a.recordStart(SyncKind::Release);
     if (f)
@@ -563,7 +556,9 @@ emitMcsRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 void
 registerLockSymbols(Assembler& a, const LockHandle& lock)
 {
-    if (lock.name.empty())
+    // The handle owns its lines, so a bound lock word means an earlier
+    // episode bound every name below: return before building any.
+    if (lock.name.empty() || a.hasSymbol(lock.lockWord))
         return;
     a.dataSymbol(lock.name, lock.lockWord);
     if (lock.aux != 0)

@@ -72,9 +72,14 @@ struct LockHandle
     LockAlgo algo = LockAlgo::TestAndTestAndSet;
 
     /**
-     * Symbol stem for attribution ("lock0", "barrier0.lock"); the
-     * emitters bind it (and derived names like "lock0.next_ticket") to
-     * the handle's addresses via Assembler::dataSymbol.
+     * Symbol stem for attribution ("lock0", "barrier0.lock"). Names are
+     * bound at emission, not at makeLock: the handle's first acquire or
+     * release emitted into an Assembler binds it (and derived names
+     * like "lock0.next_ticket") to the handle's addresses via
+     * Assembler::dataSymbol; later episodes in that Assembler bind
+     * nothing. A handle no program emits is never named in a symbol
+     * table, and renaming a handle before its first emission (as
+     * makeSrBarrier does for its counter lock) is safe.
      */
     std::string name;
 
@@ -118,7 +123,8 @@ void emitRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 /**
  * Bind @p lock's attribution symbols (name, name.next_ticket,
  * name.nodeI) into @p a's data-symbol table. Called by the emitters;
- * no-op for an unnamed handle.
+ * no-op for an unnamed handle and once @p a already names the lock
+ * word, so each program builds the names once.
  */
 void registerLockSymbols(Assembler& a, const LockHandle& lock);
 

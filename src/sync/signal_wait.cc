@@ -6,12 +6,6 @@ namespace cbsim {
 
 namespace {
 
-std::string
-uniq(const Assembler& a, const char* stem)
-{
-    return std::string(stem) + "_" + std::to_string(a.size());
-}
-
 bool
 fenced(SyncFlavor f)
 {
@@ -35,7 +29,7 @@ namespace {
 void
 registerSignalSymbol(Assembler& a, const SignalHandle& s)
 {
-    if (!s.name.empty())
+    if (!s.name.empty() && !a.hasSymbol(s.counter))
         a.dataSymbol(s.name, s.counter);
 }
 
@@ -79,8 +73,8 @@ emitWait(Assembler& a, const SignalHandle& s, SyncFlavor flavor,
     if (record)
         a.recordStart(SyncKind::Wait);
     a.movImm(sreg::addr, s.counter);
-    const auto spn = uniq(a, "spn");
-    const auto tad = uniq(a, "tad");
+    const auto spn = a.uniqueLabel("spn");
+    const auto tad = a.uniqueLabel("tad");
 
     const WakePolicy consume_wake =
         fenced(flavor) ? (flavor == SyncFlavor::VipsBackoff

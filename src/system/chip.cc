@@ -292,7 +292,7 @@ Chip::setProgram(CoreId core, Program program)
     // Merge the thread's data symbols chip-wide; emitters register the
     // same handle names on every thread, so first binding wins.
     for (const auto& [addr, name] : program.symbols())
-        symbols_.emplace(addr, name);
+        symbols_.try_emplace(addr, name);
     cores_.at(core)->setProgram(std::move(program));
 }
 

@@ -97,6 +97,10 @@ buildWorkload(const Profile& profile, unsigned threads, SyncFlavor flavor,
         // Structure randomness is independent of the flavour under test.
         Rng rng(profile.seed ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
         Assembler a;
+        // Threads run the same skeleton, so the previous thread's size
+        // is a close estimate that spares the doubling reallocations.
+        if (t > 0)
+            a.reserve(w.programs.back().size());
 
         // Desynchronize thread start-up slightly.
         a.workImm(rng.below(64));

@@ -1,12 +1,18 @@
 /**
  * @file
  * Assembler tests: label resolution (forward and backward), emitted
- * instruction fields, and failure modes.
+ * instruction fields, failure modes, shared Program storage, and
+ * once-per-program data-symbol binding by the sync emitters.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "isa/assembler.hh"
+#include "sync/barriers.hh"
+#include "sync/signal_wait.hh"
 
 namespace cbsim {
 namespace {
@@ -139,6 +145,112 @@ TEST(Assembler, ListingShowsOpcodes)
     const auto text = p.listing();
     EXPECT_NE(text.find("movi"), std::string::npos);
     EXPECT_NE(text.find("ld_cb"), std::string::npos);
+}
+
+TEST(Program, CopySharesStorage)
+{
+    Assembler a;
+    a.movImm(1, 7);
+    a.dataSymbol("x", 0x1000);
+    const Program orig = a.assemble();
+    const Program copy = orig;
+    EXPECT_EQ(&copy.at(0), &orig.at(0));
+    EXPECT_EQ(&copy.symbols(), &orig.symbols());
+    EXPECT_EQ(copy.size(), orig.size());
+}
+
+TEST(Program, MovedFromIsEmpty)
+{
+    Assembler a;
+    a.movImm(1, 7);
+    Program orig = a.assemble();
+    const Instruction* first = &orig.at(0);
+    Program moved = std::move(orig);
+    EXPECT_EQ(&moved.at(0), first);
+    EXPECT_TRUE(orig.empty()); // moved-from: empty, not dangling
+    EXPECT_EQ(orig.size(), 0u);
+    EXPECT_TRUE(orig.symbols().empty());
+}
+
+TEST(Program, DefaultIsEmpty)
+{
+    const Program p;
+    EXPECT_TRUE(p.empty());
+    EXPECT_EQ(p.size(), 0u);
+    EXPECT_TRUE(p.symbols().empty());
+    EXPECT_EQ(p.listing(), "");
+}
+
+TEST(Assembler, FirstSymbolBindingWins)
+{
+    Assembler a;
+    EXPECT_FALSE(a.hasSymbol(0x40));
+    a.dataSymbol("first", 0x40);
+    a.dataSymbol("second", 0x40);
+    EXPECT_TRUE(a.hasSymbol(0x40));
+    const Program p = a.assemble();
+    ASSERT_EQ(p.symbols().size(), 1u);
+    EXPECT_EQ(p.symbols().at(0x40), "first");
+}
+
+TEST(Assembler, UniqueLabelNamesTheEmissionPoint)
+{
+    Assembler a;
+    EXPECT_EQ(a.uniqueLabel("spn"), "spn_0");
+    a.movImm(1, 1);
+    a.movImm(1, 2);
+    EXPECT_EQ(a.uniqueLabel("out"), "out_2");
+}
+
+/** Thread @p tid's program: @p episodes rounds of every sync emitter. */
+Program
+syncProgram(unsigned episodes, CoreId tid)
+{
+    constexpr unsigned threads = 8;
+    SyncLayout layout;
+    const BarrierHandle tree = makeTreeBarrier(layout, threads);
+    const BarrierHandle sr =
+        makeSrBarrier(layout, threads, LockAlgo::Clh);
+    const LockHandle clh = makeLock(layout, LockAlgo::Clh, threads);
+    const LockHandle ticket = makeLock(layout, LockAlgo::Ticket, threads);
+    const SignalHandle sig = makeSignal(layout);
+
+    Assembler a;
+    for (unsigned e = 0; e < episodes; ++e) {
+        emitBarrier(a, tree, SyncFlavor::CbOne, tid);
+        emitBarrier(a, sr, SyncFlavor::CbOne, tid);
+        emitAcquire(a, clh, SyncFlavor::CbOne, tid);
+        emitRelease(a, clh, SyncFlavor::CbOne, tid);
+        emitAcquire(a, ticket, SyncFlavor::CbOne, tid);
+        emitRelease(a, ticket, SyncFlavor::CbOne, tid);
+        emitSignal(a, sig, SyncFlavor::CbOne);
+        emitWait(a, sig, SyncFlavor::CbOne);
+    }
+    return a.assemble();
+}
+
+TEST(Assembler, SyncEmittersBindEachHandleOncePerProgram)
+{
+    const Program once = syncProgram(1, 3);
+    const Program twice = syncProgram(2, 3);
+    EXPECT_GT(twice.size(), once.size());
+    EXPECT_EQ(twice.symbols(), once.symbols());
+
+    // Every handle is named: the tree barrier's three lines per thread,
+    // the SR barrier's counter and sense, CLH locks' word and 9 nodes
+    // (the SR counter lock's too), the ticket lock's two words, and the
+    // signal counter.
+    EXPECT_EQ(once.symbols().size(), 3u * 8 + 2 + 2 * 10 + 2 + 1);
+    std::set<std::string> names;
+    for (const auto& [addr, name] : once.symbols())
+        names.insert(name);
+    EXPECT_EQ(names.count("barrier0.cnr0.0"), 1u);
+    EXPECT_EQ(names.count("barrier0.wake.7"), 1u);
+    EXPECT_EQ(names.count("barrier1.counter"), 1u);
+    EXPECT_EQ(names.count("barrier1.lock.node8"), 1u);
+    EXPECT_EQ(names.count("lock1.node0"), 1u);
+    EXPECT_EQ(names.count("lock2.next_ticket"), 1u);
+    EXPECT_EQ(names.count("signal0"), 1u);
 }
 
 TEST(AtomicEval, TestAndSet)

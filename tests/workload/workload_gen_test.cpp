@@ -126,6 +126,21 @@ TEST(WorkloadGen, LayoutInitsAreDisjointWords)
     }
 }
 
+TEST(WorkloadGen, SymbolCountIsPinned)
+{
+    // Each program names the TreeSR barrier's 3 x 16 lines and, for
+    // each of the 4 locks (every thread takes all of them), the CLH lock
+    // word and its 17 nodes: 1920 over 16 programs. The emitters bind a handle's names on its first
+    // episode in a program; a change in what they bind shows here.
+    auto w = buildWorkload(benchmark("raytrace"), 16, SyncFlavor::CbOne,
+                           LockAlgo::Clh,
+                           BarrierAlgo::TreeSenseReversing);
+    std::size_t symbols = 0;
+    for (const auto& prog : w.programs)
+        symbols += prog.symbols().size();
+    EXPECT_EQ(symbols, 1920u);
+}
+
 TEST(SyncLayoutUnit, SeparatesLineAndPageRegions)
 {
     SyncLayout layout;
