@@ -65,14 +65,6 @@ usage(const char* argv0)
         << "  --jobs N      worker threads for the sweep (default: all "
            "hardware threads);\n"
         << "                results are bit-identical regardless of N\n"
-        << "  --threads N   intra-run parallel event kernel: shard each "
-           "chip into\n"
-        << "                mesh-quadrant timing domains run by up to N "
-           "workers\n"
-        << "                (CBSIM_THREADS). 0 = classic serial kernel. "
-           "Results are\n"
-        << "                bit-identical for every N >= 1 "
-           "(docs/DESIGN.md)\n"
         << "  --quick       16 cores, scaled-down workloads (smoke runs)\n"
         << "  --smoke       4 cores, tiny workloads, reduced suite "
            "(ctest tier-2)\n"
@@ -213,22 +205,6 @@ benchMain(int argc, char** argv)
                           << "\n";
                 return 2;
             }
-        } else if (a == "--threads" && i + 1 < argc) {
-            unsigned threads = 0;
-            if (!parseJobs(argv[++i], threads)) {
-                std::cerr << "--threads: not a number: " << argv[i]
-                          << "\n";
-                return 2;
-            }
-            ChipConfig::setDefaultThreads(threads);
-        } else if (a.rfind("--threads=", 0) == 0) {
-            unsigned threads = 0;
-            if (!parseJobs(a.substr(10), threads)) {
-                std::cerr << "--threads: not a number: " << a.substr(10)
-                          << "\n";
-                return 2;
-            }
-            ChipConfig::setDefaultThreads(threads);
         } else if (a == "--out-dir" && i + 1 < argc) {
             mode().outDir = argv[++i];
         } else if (a.rfind("--out-dir=", 0) == 0) {

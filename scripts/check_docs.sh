@@ -202,27 +202,21 @@ if [ -f docs/ROBUSTNESS.md ]; then
     done
 fi
 
-# ---- 7. parallel event kernel -----------------------------------------------
-# The worker knob and the kernel-identity fields ship documented: the
-# flag + env var in the design chapter and the host-perf guide, the
-# schema-v6 config field in the artifact reference.
-for doc in DESIGN.md docs/PERF.md; do
-    if ! grep -q -- '`--threads' "$doc"; then
-        err "bench flag --threads is not documented in $doc"
-    fi
-    if ! grep -q 'CBSIM_THREADS' "$doc"; then
-        err "env var CBSIM_THREADS is not documented in $doc"
+# ---- 7. NoC hop path and the constant kernel fields ------------------------
+# The hop path's design note (in-flight table, unchanged event order)
+# lives in the event-kernel chapter, and the two schema-v6 fields that
+# stay constant 0 are explained in the artifact reference.
+if ! grep -q 'Mesh hop path' DESIGN.md; then
+    err "DESIGN.md lacks the \"Mesh hop path\" note in §2.1"
+fi
+for field in timing_domains threads; do
+    if ! grep -q "\`$field\`" docs/RESULTS.md; then
+        err "constant field $field is not documented in docs/RESULTS.md"
     fi
 done
-if ! grep -q '`timing_domains`' docs/RESULTS.md; then
-    err "config field timing_domains is not documented in docs/RESULTS.md"
-fi
-if ! grep -q 'Parallel event kernel' DESIGN.md; then
-    err "DESIGN.md lacks the \"Parallel event kernel\" section"
-fi
 
 if [ "$fail" -eq 0 ]; then
     echo "check_docs: OK (subsystems, opcodes, invariants, links, stats," \
-         "crash-safety, parallel kernel)"
+         "crash-safety, hop path)"
 fi
 exit $fail

@@ -42,33 +42,20 @@ def fmt_eps(eps):
     return f"{eps / 1e6:8.2f} Mev/s"
 
 
-def kernel_summary(doc):
-    """One-line parallel-kernel utilization summary (v3), or None.
+def ignored_fields(doc):
+    """Schema-v3 sharded-kernel fields present in doc, as paths.
 
-    Aggregates the per-cell per-worker busy/drain/wait breakdown into
-    whole-artifact percentages — the quickest read on whether workers
-    computed or sat at the conservative barrier.
+    v3 artifacts carry config.threads and per-cell timing_domains,
+    windows and workers; v4 dropped them with the kernel. They are read
+    past, not compared, and named so the reader knows what was skipped.
     """
-    threads = doc.get("config", {}).get("threads", 0)
-    if not threads:
-        return None
-    busy = drain = wait = 0.0
-    windows = 0
-    domains = 0
-    for c in doc.get("cells", []):
-        windows += c.get("windows", 0)
-        domains = max(domains, c.get("timing_domains", 0))
-        for w in c.get("workers", []):
-            busy += w.get("busy_ms", 0.0)
-            drain += w.get("drain_ms", 0.0)
-            wait += w.get("wait_ms", 0.0)
-    total = busy + drain + wait
-    if total <= 0:
-        return (f"parallel kernel: threads={threads}, "
-                f"domains={domains}, windows={windows}")
-    return (f"parallel kernel: threads={threads}, domains={domains}, "
-            f"windows={windows}, worker time busy {busy / total:.0%} / "
-            f"drain {drain / total:.0%} / wait {wait / total:.0%}")
+    found = []
+    if "threads" in doc.get("config", {}):
+        found.append("config.threads")
+    for field in ("timing_domains", "windows", "workers"):
+        if any(field in c for c in doc.get("cells", [])):
+            found.append(f"cells[].{field}")
+    return found
 
 
 def main():
@@ -93,11 +80,11 @@ def main():
             detail = ("events/sec denominators differ (v1 times the "
                       "full experiment, v2 the event loop) so ratios "
                       "are not comparable")
-        elif {bv, av} == {2, 3}:
-            detail = ("v3 adds the parallel event kernel fields "
-                      "(config.threads, per-cell timing_domains/windows/"
-                      "workers, docs/PERF.md); events/sec denominators "
-                      "are unchanged, so ratios stay comparable")
+        elif {bv, av} <= {2, 3, 4}:
+            detail = ("v3 added the sharded-kernel fields and v4 "
+                      "dropped them (docs/PERF.md); events/sec "
+                      "denominators are unchanged since v2, so ratios "
+                      "stay comparable")
         else:
             detail = ("field meanings may differ between versions; "
                       "treat ratios with suspicion")
@@ -157,16 +144,18 @@ def main():
               f"{ta['sim_ms']:.0f} ms")
     print(f"wall: {tb['wall_ms']:.0f} ms -> {ta['wall_ms']:.0f} ms")
 
-    b_threads = before.get("config", {}).get("threads", 0)
-    a_threads = after.get("config", {}).get("threads", 0)
-    if b_threads != a_threads:
-        print(f"note: kernels differ (before threads={b_threads}, "
-              f"after threads={a_threads}); this comparison measures "
-              "the kernel change itself", file=sys.stderr)
     for label, doc in (("before", before), ("after", after)):
-        summary = kernel_summary(doc)
-        if summary:
-            print(f"{label} {summary}")
+        fields = ignored_fields(doc)
+        if fields:
+            print(f"note: {label} is schema v{doc.get('schema_version')}; "
+                  f"ignoring sharded-kernel fields: {', '.join(fields)}",
+                  file=sys.stderr)
+        threads = doc.get("config", {}).get("threads", 0)
+        if threads:
+            print(f"note: {label} ran the removed sharded kernel "
+                  f"(threads={threads}); it simulates a different "
+                  "same-tick order, so event counts may drift",
+                  file=sys.stderr)
 
     if drift:
         print("note: event counts drifted; speedup numbers compare "

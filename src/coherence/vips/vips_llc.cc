@@ -81,7 +81,7 @@ VipsLlcBank::ensurePresent(const Message& msg)
     }
     locks_.lock(line_addr);
     fills_.inc();
-    memory_.read(static_cast<NodeId>(bank_), line_addr,
+    memory_.read(line_addr,
                  [this, msg, line_addr] { fillLine(msg, line_addr); });
     return false;
 }
@@ -96,7 +96,7 @@ VipsLlcBank::fillLine(const Message& msg, Addr line_addr)
         return;
     }
     if (victim->valid)
-        memory_.write(static_cast<NodeId>(bank_), victim->tag); // writeback (write-through LLC: clean)
+        memory_.write(victim->tag); // writeback (write-through LLC: clean)
     array_.install(*victim, line_addr);
     accesses_.inc();
     auto deferred = locks_.unlock(line_addr);
@@ -297,9 +297,8 @@ VipsLlcBank::processWakes(Addr word, const std::vector<CoreId>& initial,
         }
         if (causal_ != nullptr) {
             causal_->recordWake(word, c, eq_.now(), evicted);
-            // Flow arrow releaser→directory→waiter: emitted entirely
-            // bank-side (one domain), so the three events land in one
-            // buffer in a deterministic order.
+            // Flow arrow releaser→directory→waiter, emitted bank-side
+            // at the wake tick.
             if (trace_ != nullptr && releaser != invalidCore)
                 trace_->wakeFlow(bank_, word, releaser, c, eq_.now());
         }

@@ -36,14 +36,6 @@ struct SyncStats
     std::array<Counter, numKinds> completions;
 
     void registerStats(const StatsScope& scope);
-
-    /**
-     * Fold @p other into this and reset it (parallel kernel: each
-     * timing domain records into its own shard; the registered shard 0
-     * absorbs the rest at fold points). Merges are commutative, so the
-     * result is independent of domain count and worker interleaving.
-     */
-    void mergeFrom(SyncStats& other);
 };
 
 /** A single in-order core executing a mini-ISA program. */
@@ -123,7 +115,7 @@ class Core : public Clocked
      * (docs/OBSERVABILITY.md §Causal tracing). Null (default) costs one
      * compare per completion.
      */
-    void setCausal(CausalShard* causal) { causal_ = causal; }
+    void setCausal(CausalTracker* causal) { causal_ = causal; }
 
   private:
     /** Clocked wake-up: resume execution (see scheduleTick sites). */
@@ -188,7 +180,7 @@ class Core : public Clocked
 
     TraceExporter* trace_ = nullptr;
     AttributionTable* attr_ = nullptr;
-    CausalShard* causal_ = nullptr;
+    CausalTracker* causal_ = nullptr;
 };
 
 } // namespace cbsim

@@ -10,7 +10,7 @@
 #include "coherence/vips/vips_l1.hh"
 #include "coherence/vips/vips_llc.hh"
 #include "core/core.hh"
-#include "debug/noc_tracker.hh"
+#include "noc/mesh.hh"
 #include "mem/addr.hh"
 #include "sim/log.hh"
 

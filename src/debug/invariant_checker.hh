@@ -61,7 +61,7 @@ class MesiLlcBank;
 class VipsL1;
 class VipsLlcBank;
 class PageClassifier;
-class NocTracker;
+class Mesh;
 
 class InvariantChecker
 {
@@ -82,7 +82,7 @@ class InvariantChecker
         std::vector<const VipsL1*> vipsL1s;
         std::vector<const VipsLlcBank*> vipsBanks;
         const PageClassifier* classifier = nullptr;
-        const NocTracker* noc = nullptr;
+        const Mesh* noc = nullptr; ///< in-flight table (leak check)
     };
 
     explicit InvariantChecker(Sources src) : src_(std::move(src)) {}

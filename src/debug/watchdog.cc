@@ -22,8 +22,9 @@ Watchdog::checkWall(Tick now) const
 }
 
 void
-Watchdog::pollAt(Tick now)
+Watchdog::poll()
 {
+    const Tick now = eq_.now();
     checkWall(now);
 
     if (cfg_.noProgressWindow != 0 && hooks_.progressCounter) {
@@ -41,12 +42,6 @@ Watchdog::pollAt(Tick now)
 
     if (hooks_.checkInvariants)
         hooks_.checkInvariants();
-}
-
-void
-Watchdog::poll()
-{
-    pollAt(eq_.now());
 }
 
 } // namespace cbsim

@@ -42,10 +42,10 @@ class ResultSink
      *     per-run "attempts" count and "quarantined" flag, and the
      *     "crashed" status for --isolate children that died without
      *     delivering a result.
-     * v6: the "threads" metric (timing-domain count of the kernel that
-     *     produced the run; 0 = classic serial kernel) and the
-     *     "timing_domains" job-config field folded into the config
-     *     hash (docs/DESIGN.md §"Parallel event kernel").
+     * v6: the "threads" metric and the "timing_domains" job-config
+     *     field (kernel selectors of a since-removed sharded kernel;
+     *     both always 0 now, kept so artifacts and config hashes stay
+     *     byte-identical — docs/RESULTS.md).
      * v7: the optional per-run "causal" array — critical-path
      *     breakdown of stall cycles into sync-episode segments
      *     (docs/OBSERVABILITY.md §Causal tracing).

@@ -4,53 +4,27 @@
 #include <string>
 
 #include "debug/fault_injection.hh"
-#include "debug/noc_tracker.hh"
 #include "obs/causal.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
 namespace cbsim {
 
-Mesh::Mesh(TimingDomains& domains, const NocConfig& cfg,
-           const StatsScope& scope)
-    : doms_(domains), cfg_(cfg),
-      widthPow2_(std::has_single_bit(cfg.width)),
+Mesh::Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope)
+    : eq_(eq), cfg_(cfg), widthPow2_(std::has_single_bit(cfg.width)),
       widthShift_(static_cast<unsigned>(std::countr_zero(cfg.width))),
       routers_(cfg.nodes()), coreHandlers_(cfg.nodes()),
-      bankHandlers_(cfg.nodes()), shards_(domains.count())
+      bankHandlers_(cfg.nodes())
 {
     if (cfg_.width == 0 || cfg_.height == 0)
         fatal("mesh dimensions must be non-zero");
-    Shard& s0 = shards_[0];
-    scope.add("packets", s0.packets);
-    scope.add("flit_hops", s0.flitHops);
-    scope.add("local_deliveries", s0.localDeliveries);
+    scope.add("packets", packets_);
+    scope.add("flit_hops", flitHops_);
+    scope.add("local_deliveries", localDeliveries_);
     const StatsScope byType = scope.scope("packets");
-    for (std::size_t t = 0; t < s0.packetsByType.size(); ++t)
-        byType.add(msgTypeName(static_cast<MsgType>(t)),
-                   s0.packetsByType[t]);
-    scope.add("hop_distance", s0.hopDistance);
-}
-
-void
-Mesh::foldShards()
-{
-    Shard& s0 = shards_[0];
-    for (std::size_t d = 1; d < shards_.size(); ++d) {
-        Shard& s = shards_[d];
-        s0.packets.inc(s.packets.value());
-        s.packets.reset();
-        s0.flitHops.inc(s.flitHops.value());
-        s.flitHops.reset();
-        s0.localDeliveries.inc(s.localDeliveries.value());
-        s.localDeliveries.reset();
-        for (std::size_t t = 0; t < s0.packetsByType.size(); ++t) {
-            s0.packetsByType[t].inc(s.packetsByType[t].value());
-            s.packetsByType[t].reset();
-        }
-        s0.hopDistance.merge(s.hopDistance);
-        s.hopDistance.reset();
-    }
+    for (std::size_t t = 0; t < packetsByType_.size(); ++t)
+        byType.add(msgTypeName(static_cast<MsgType>(t)), packetsByType_[t]);
+    scope.add("hop_distance", hopDistance_);
 }
 
 void
@@ -99,133 +73,97 @@ Mesh::nextHop(NodeId at, NodeId dst) const
 }
 
 void
-Mesh::send(Message msg)
+Mesh::send(const Message& msg)
 {
     CBSIM_ASSERT(msg.src < cfg_.nodes() && msg.dst < cfg_.nodes(),
                  "send: node out of range");
-    // send() executes in the source node's domain (the injecting
-    // component lives there), so the source shard is ours to touch.
-    Shard& sh = shardOf(msg.src);
-    sh.packets.inc();
-    sh.packetsByType[static_cast<std::size_t>(msg.type)].inc();
+    packets_.inc();
+    packetsByType_[static_cast<std::size_t>(msg.type)].inc();
     if (causal_ != nullptr)
         recordCausalTraffic(msg);
-    CBSIM_TRACE(TraceCategory::Noc, doms_.queueOf(msg.src).now(), msg.addr,
+    CBSIM_TRACE(TraceCategory::Noc, eq_.now(), msg.addr,
                 "inject " << msg.toString());
 
-    if (tracker_ != nullptr || faults_ != nullptr) {
-        sendDebug(std::move(msg));
-        return;
-    }
-    if (msg.src == msg.dst) {
-        // Same-node core<->bank traffic never enters the network (and
-        // never leaves the domain).
-        sh.localDeliveries.inc();
-        doms_.queueOf(msg.src).schedule(
-            cfg_.localLatency, [this, msg = std::move(msg)] { deliver(msg); });
-        return;
-    }
-    const unsigned flits =
-        msg.flits(cfg_.flitBytes, cfg_.headerBytes, cfg_.lineBytes);
-    sh.hopDistance.sample(hopCount(msg.src, msg.dst));
-    const NodeId src = msg.src;
-    hop(std::move(msg), src, flits);
-}
-
-void
-Mesh::hop(Message msg, NodeId at, unsigned flits)
-{
-    // Runs in node `at`'s domain; the hop to `next` is the domain
-    // handoff point when the route crosses a quadrant boundary. Its
-    // delay is >= switchLatency, the PDES lookahead.
-    EventQueue& q = doms_.queueOf(at);
-    auto [next, dir] = nextHop(at, msg.dst);
-    const Tick start = routers_[at].reserve(dir, q.now(), flits);
-    shardOf(at).flitHops.inc(flits);
-    const Tick wait = start - q.now();
-
-    if (next == msg.dst) {
-        // Final hop: account tail serialization on delivery.
-        doms_.scheduleFromTo(
-            at, next, wait + cfg_.switchLatency + (flits - 1),
-            [this, msg = std::move(msg)] { deliver(msg); });
-    } else {
-        doms_.scheduleFromTo(
-            at, next, wait + cfg_.switchLatency,
-            [this, msg = std::move(msg), next, flits]() mutable {
-                hop(std::move(msg), next, flits);
-            });
-    }
-}
-
-void
-Mesh::sendDebug(Message msg)
-{
-    // Mirrors send()'s tail, threading a tracker slot through every hop
-    // closure and front-loading any injected fault delay. Lives off the
-    // hot path so the untracked send() stays unchanged.
-    EventQueue& q = doms_.queueOf(msg.src);
-    const std::uint32_t slot =
-        tracker_ != nullptr ? tracker_->onInject(msg, q.now()) : 0;
+    // A fault delay holds the message at its source before it enters
+    // the network (or the local port).
     const Tick extra = faults_ != nullptr ? faults_->nocDelay() : 0;
-    Shard& sh = shardOf(msg.src);
-
+    const std::uint32_t slot = park(msg);
     if (msg.src == msg.dst) {
-        sh.localDeliveries.inc();
-        q.schedule(cfg_.localLatency + extra,
-                   [this, msg = std::move(msg), slot] {
-                       if (tracker_ != nullptr)
-                           tracker_->onDeliver(slot);
-                       deliver(msg);
-                   });
+        // Same-node core<->bank traffic never enters the network.
+        localDeliveries_.inc();
+        eq_.schedule(cfg_.localLatency + extra,
+                     [this, slot] { deliver(slot); });
         return;
     }
     const unsigned flits =
         msg.flits(cfg_.flitBytes, cfg_.headerBytes, cfg_.lineBytes);
-    sh.hopDistance.sample(hopCount(msg.src, msg.dst));
     const NodeId src = msg.src;
+    const NodeId dst = msg.dst;
+    hopDistance_.sample(hopCount(src, dst));
     if (extra == 0) {
-        hopDebug(std::move(msg), src, flits, slot);
+        hop(slot, src, dst, flits);
     } else {
-        q.schedule(extra,
-                   [this, msg = std::move(msg), src, flits,
-                    slot]() mutable {
-                       hopDebug(std::move(msg), src, flits, slot);
-                   });
+        eq_.schedule(extra, [this, slot, src, dst, flits] {
+            hop(slot, src, dst, flits);
+        });
+    }
+}
+
+std::uint32_t
+Mesh::park(const Message& msg)
+{
+    std::uint32_t slot;
+    if (free_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = free_.back();
+        free_.pop_back();
+    }
+    Slot& s = slots_[slot];
+    s.msg = msg;
+    s.injectedAt = eq_.now();
+    s.at = msg.src;
+    s.live = true;
+    ++inFlight_;
+    return slot;
+}
+
+void
+Mesh::hop(std::uint32_t slot, NodeId at, NodeId dst, unsigned flits)
+{
+    if (track_) [[unlikely]]
+        slots_[slot].at = at;
+    const auto [next, dir] = nextHop(at, dst);
+    const Tick now = eq_.now();
+    const Tick start = routers_[at].reserve(dir, now, flits);
+    flitHops_.inc(flits);
+    const Tick wait = start - now;
+
+    if (next == dst) {
+        // Final hop: account tail serialization on delivery.
+        eq_.schedule(wait + cfg_.switchLatency + (flits - 1),
+                     [this, slot] { deliver(slot); });
+    } else {
+        eq_.schedule(wait + cfg_.switchLatency,
+                     [this, slot, next, dst, flits] {
+                         hop(slot, next, dst, flits);
+                     });
     }
 }
 
 void
-Mesh::hopDebug(Message msg, NodeId at, unsigned flits, std::uint32_t slot)
+Mesh::deliver(std::uint32_t slot)
 {
-    if (tracker_ != nullptr)
-        tracker_->onHop(slot, at);
-    EventQueue& q = doms_.queueOf(at);
-    auto [next, dir] = nextHop(at, msg.dst);
-    const Tick start = routers_[at].reserve(dir, q.now(), flits);
-    shardOf(at).flitHops.inc(flits);
-    const Tick wait = start - q.now();
+    // Copy out and free the slot first: the handler may send, and a
+    // send may grow (reallocate) the table.
+    Slot& s = slots_[slot];
+    CBSIM_ASSERT(s.live, "mesh: double delivery of slot ", slot);
+    const Message msg = s.msg;
+    s.live = false;
+    free_.push_back(slot);
+    --inFlight_;
 
-    if (next == msg.dst) {
-        doms_.scheduleFromTo(
-            at, next, wait + cfg_.switchLatency + (flits - 1),
-            [this, msg = std::move(msg), slot] {
-                if (tracker_ != nullptr)
-                    tracker_->onDeliver(slot);
-                deliver(msg);
-            });
-    } else {
-        doms_.scheduleFromTo(
-            at, next, wait + cfg_.switchLatency,
-            [this, msg = std::move(msg), next, flits, slot]() mutable {
-                hopDebug(std::move(msg), next, flits, slot);
-            });
-    }
-}
-
-void
-Mesh::deliver(const Message& msg)
-{
     const auto& handler = msg.dstPort == Port::Core
                               ? coreHandlers_[msg.dst]
                               : bankHandlers_[msg.dst];
@@ -240,11 +178,10 @@ void
 Mesh::recordCausalTraffic(const Message& msg)
 {
     // Classify at injection: the whole route's flit×hop cost belongs to
-    // one causal segment, and every later hop of this message executes
-    // in other domains whose shards we must not touch. Request traffic
-    // is everything a waiter sends toward the directory on the sync
-    // path; wake traffic is what travels back to break the wait
-    // (callback wake-ups, sync-store invalidations).
+    // one causal segment. Request traffic is everything a waiter sends
+    // toward the directory on the sync path; wake traffic is what
+    // travels back to break the wait (callback wake-ups, sync-store
+    // invalidations).
     bool wake = false;
     bool request = false;
     switch (msg.type) {
@@ -279,11 +216,10 @@ Mesh::recordCausalTraffic(const Message& msg)
         hopCount(msg.src, msg.dst);
     if (traffic == 0)
         return; // local core<->bank delivery never enters the network
-    CausalShard& shard = causal_->shard(doms_.domainOf(msg.src));
     if (wake)
-        shard.addWakeHops(traffic);
+        causal_->addWakeHops(traffic);
     else
-        shard.addRequestHops(traffic);
+        causal_->addRequestHops(traffic);
 }
 
 } // namespace cbsim

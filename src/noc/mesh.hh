@@ -6,25 +6,39 @@
  * core endpoint and an LLC-bank endpoint; delivery dispatches on
  * Message::dstPort. Traffic is accounted in flit-hops (the metric behind
  * the paper's "network traffic" figures) and per-message-type packets.
+ *
+ * Hop path (DESIGN.md §2.1). Injection parks the message in the mesh's
+ * in-flight table — slots recycled through a free list, so steady state
+ * allocates nothing — and every later event refers to it by slot: a
+ * hop event carries {mesh, slot, next node, destination, flits}, a
+ * delivery event {mesh, slot}. The 64-byte Message is copied twice per
+ * packet (into the table, out to the handler) instead of once per hop.
+ * Delivery copies the message out and frees the slot *before* calling
+ * the handler, because handlers send, and a send may grow the table.
+ *
+ * The same table serves forensics and leak checks: with tracking on,
+ * each hop records the node the message is at (one predicted-false
+ * branch per hop), so a wedged run can list every undelivered message
+ * and where it sits, and the invariant checker can assert that nothing
+ * is in flight once the queue drains.
  */
 
 #ifndef CBSIM_NOC_MESH_HH
 #define CBSIM_NOC_MESH_HH
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "noc/message.hh"
 #include "noc/router.hh"
 #include "obs/registry.hh"
-#include "sim/domains.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
 namespace cbsim {
 
-class NocTracker;
 class FaultInjector;
 class CausalTracker;
 
@@ -45,19 +59,11 @@ struct NocConfig
 /** Receives messages delivered to an endpoint. */
 using MessageHandler = std::function<void(const Message&)>;
 
-/**
- * The mesh network. Scheduling goes through the chip's TimingDomains:
- * every hop executes in the domain of the node it is at, and the hop
- * that crosses a domain boundary carries the cross-domain handoff —
- * its switch-latency delay is exactly the PDES lookahead, which is
- * what makes conservative windows sound (DESIGN.md §"Parallel event
- * kernel"). With a single domain this is the serial kernel unchanged.
- */
+/** The mesh network. */
 class Mesh
 {
   public:
-    Mesh(TimingDomains& domains, const NocConfig& cfg,
-         const StatsScope& scope);
+    Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope);
 
     /** Attach the handler for @p port of node @p node. */
     void attach(NodeId node, Port port, MessageHandler handler);
@@ -66,7 +72,7 @@ class Mesh
      * Inject @p msg at its source node; it is delivered to the handler of
      * (msg.dst, msg.dstPort) after routing latency + contention.
      */
-    void send(Message msg);
+    void send(const Message& msg);
 
     /** X-Y route hop count between two nodes (for tests/analysis). */
     unsigned hopCount(NodeId from, NodeId to) const;
@@ -77,48 +83,58 @@ class Mesh
     const NocConfig& config() const { return cfg_; }
 
     /** Total flit-hops so far (the traffic metric). */
-    std::uint64_t
-    flitHops() const
-    {
-        std::uint64_t sum = 0;
-        for (const Shard& s : shards_)
-            sum += s.flitHops.value();
-        return sum;
-    }
+    std::uint64_t flitHops() const { return flitHops_.value(); }
 
     /**
-     * Fold per-domain counter shards into shard 0 (the registered
-     * one) so registry reads see chip-wide totals. Runs under the
-     * parallel barrier and at end of run; a no-op with one domain.
+     * Record each in-flight message's current node on every hop, for
+     * forensic dumps and the end-of-run leak check. Off by default:
+     * then a hop never touches the in-flight table.
      */
-    void foldShards();
+    void setTracking(bool on) { track_ = on; }
+    bool tracking() const { return track_; }
 
     /**
-     * Install debug hooks (either may be null). With both null — the
-     * default — send() takes the original untracked path after two
-     * pointer compares, so production runs stay byte-identical.
-     * @p tracker records in-flight messages for forensics/leak checks;
-     * @p faults adds bounded injection delays (FaultPlan::nocDelay*).
+     * Add bounded injection delays (FaultPlan::nocDelay*) drawn from
+     * @p faults at every send; null (the default) injects none.
      */
+    void setFaults(FaultInjector* faults) { faults_ = faults; }
+
+    /** Messages injected and not yet delivered. */
+    std::size_t inFlight() const { return inFlight_; }
+
+    /**
+     * Visit every undelivered message: fn(msg, node, injectedAt). The
+     * node is the last one the message hopped through when tracking is
+     * on, else its source.
+     */
+    template <typename Fn>
     void
-    setDebug(NocTracker* tracker, FaultInjector* faults)
+    forEachInFlight(Fn&& fn) const
     {
-        tracker_ = tracker;
-        faults_ = faults;
+        for (const Slot& s : slots_) {
+            if (s.live)
+                fn(s.msg, s.at, s.injectedAt);
+        }
     }
-
-    const NocTracker* tracker() const { return tracker_; }
 
     /**
      * Enable causal sync-episode tracing: at injection, each sync/spin
      * request or wake/invalidation message charges its total flit×hop
-     * traffic to the matching causal segment (noc_request / noc_wake)
-     * in the source domain's shard. Null (default) costs one compare
-     * per injection.
+     * traffic to the matching causal segment (noc_request / noc_wake).
+     * Null (default) costs one compare per injection.
      */
     void setCausal(CausalTracker* causal) { causal_ = causal; }
 
   private:
+    /** One in-flight table entry. */
+    struct Slot
+    {
+        Message msg;
+        Tick injectedAt = 0;
+        NodeId at = 0;     ///< current node (tracking only)
+        bool live = false; ///< injected, not yet delivered
+    };
+
     // X-Y decomposition runs twice per routed hop (millions of times
     // per run), and a division by the runtime mesh width costs tens of
     // cycles; mask/shift when the width is a power of two (all
@@ -142,48 +158,37 @@ class Mesh
     /** Next hop (node, output direction) along the X-Y route. */
     std::pair<NodeId, Direction> nextHop(NodeId at, NodeId dst) const;
 
-    void hop(Message msg, NodeId at, unsigned flits);
-    void deliver(const Message& msg);
+    /** Park @p msg in a free slot of the in-flight table. */
+    std::uint32_t park(const Message& msg);
 
-    /** Cold path of send(): tracking and/or fault delay enabled. */
-    void sendDebug(Message msg);
-    void hopDebug(Message msg, NodeId at, unsigned flits,
-                  std::uint32_t slot);
-
-    /**
-     * Per-domain counter shard, cache-line aligned so domains never
-     * false-share. Shard 0 is registered with the stats registry;
-     * foldShards() merges the rest in (merge is commutative, so the
-     * fold is byte-identical to serial accumulation).
-     */
-    struct alignas(64) Shard
-    {
-        Counter packets;
-        Counter flitHops;
-        Counter localDeliveries;
-        std::array<Counter, static_cast<std::size_t>(MsgType::NumTypes)>
-            packetsByType;
-        /** X-Y route length of each remote packet (locality). */
-        Histogram hopDistance;
-    };
-
-    Shard& shardOf(NodeId n) { return shards_[doms_.domainOf(n)]; }
-
-    TimingDomains& doms_;
-    NocConfig cfg_;
-    bool widthPow2_;      ///< mesh width is a power of two
-    unsigned widthShift_; ///< log2(width), widthPow2_ only
-    std::vector<Router> routers_;
-    std::vector<MessageHandler> coreHandlers_;
-    std::vector<MessageHandler> bankHandlers_;
-    NocTracker* tracker_ = nullptr;
-    FaultInjector* faults_ = nullptr;
-    CausalTracker* causal_ = nullptr;
+    void hop(std::uint32_t slot, NodeId at, NodeId dst, unsigned flits);
+    void deliver(std::uint32_t slot);
 
     /** Cold path of send(): classify traffic for the causal stitcher. */
     void recordCausalTraffic(const Message& msg);
 
-    std::vector<Shard> shards_; ///< one per timing domain
+    EventQueue& eq_;
+    NocConfig cfg_;
+    bool widthPow2_;      ///< mesh width is a power of two
+    unsigned widthShift_; ///< log2(width), widthPow2_ only
+    bool track_ = false;
+    std::vector<Router> routers_;
+    std::vector<MessageHandler> coreHandlers_;
+    std::vector<MessageHandler> bankHandlers_;
+    FaultInjector* faults_ = nullptr;
+    CausalTracker* causal_ = nullptr;
+
+    std::vector<Slot> slots_;         ///< the in-flight table
+    std::vector<std::uint32_t> free_; ///< recyclable slot indices
+    std::size_t inFlight_ = 0;
+
+    Counter packets_;
+    Counter flitHops_;
+    Counter localDeliveries_;
+    std::array<Counter, static_cast<std::size_t>(MsgType::NumTypes)>
+        packetsByType_;
+    /** X-Y route length of each remote packet (locality). */
+    Histogram hopDistance_;
 };
 
 } // namespace cbsim

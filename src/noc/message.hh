@@ -164,8 +164,8 @@ struct Message
 };
 
 static_assert(sizeof(Message) == 64,
-              "Message should stay one cache line; it is copied per "
-              "mesh hop");
+              "Message should stay one cache line; every packet copies "
+              "it into the mesh in-flight table and out to its handler");
 
 } // namespace cbsim
 

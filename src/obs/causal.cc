@@ -46,24 +46,6 @@ causalSegmentName(CausalSegment seg)
     return "?";
 }
 
-void
-CausalTracker::fold()
-{
-    for (CausalShard& s : shards_) {
-        if (s.empty())
-            continue;
-        stalls_.insert(stalls_.end(), s.stalls.begin(), s.stalls.end());
-        transitions_.insert(transitions_.end(), s.transitions.begin(),
-                            s.transitions.end());
-        requestFlitHops_ += s.requestFlitHops;
-        wakeFlitHops_ += s.wakeFlitHops;
-        s.stalls.clear();
-        s.transitions.clear();
-        s.requestFlitHops = 0;
-        s.wakeFlitHops = 0;
-    }
-}
-
 namespace {
 
 /** Per-segment accumulator folded into one CausalRow at the end. */
@@ -87,23 +69,22 @@ struct SegmentAcc
 std::vector<CausalRow>
 CausalTracker::rows() const
 {
-    // Re-sort the folded records by a total order so stitching is
-    // independent of fold interleaving. A core has one outstanding
-    // memory op, so (core, issue) is unique for stalls; transition ties
-    // at (core, tick) can only come from the same shard, where
-    // stable_sort preserves the (deterministic) execution order.
-    std::vector<CausalShard::Stall> stalls = stalls_;
+    // Group the records per core in time order. A core has one
+    // outstanding memory op, so (core, issue) is unique for stalls;
+    // stable_sort keeps transition ties at (core, tick) in execution
+    // order.
+    std::vector<CausalTracker::Stall> stalls = stalls_;
     std::stable_sort(stalls.begin(), stalls.end(),
-                     [](const CausalShard::Stall& a,
-                        const CausalShard::Stall& b) {
+                     [](const CausalTracker::Stall& a,
+                        const CausalTracker::Stall& b) {
                          if (a.core != b.core)
                              return a.core < b.core;
                          return a.issue < b.issue;
                      });
-    std::vector<CausalShard::Transition> trans = transitions_;
+    std::vector<CausalTracker::Transition> trans = transitions_;
     std::stable_sort(trans.begin(), trans.end(),
-                     [](const CausalShard::Transition& a,
-                        const CausalShard::Transition& b) {
+                     [](const CausalTracker::Transition& a,
+                        const CausalTracker::Transition& b) {
                          if (a.core != b.core)
                              return a.core < b.core;
                          return a.tick < b.tick;
@@ -122,7 +103,7 @@ CausalTracker::rows() const
     CoreId mapCore = invalidCore;
 
     std::size_t ti = 0; // transition cursor, advances with the stalls
-    for (const CausalShard::Stall& st : stalls) {
+    for (const CausalTracker::Stall& st : stalls) {
         if (st.core != mapCore) {
             lastWakeSpurious.clear();
             mapCore = st.core;
@@ -149,7 +130,7 @@ CausalTracker::rows() const
         Tick parkTick = 0;
         while (ti < trans.size() && trans[ti].core == st.core &&
                trans[ti].tick <= st.complete) {
-            const CausalShard::Transition& t = trans[ti];
+            const CausalTracker::Transition& t = trans[ti];
             ++ti;
             if (AddrLayout::lineAlign(t.key) != line)
                 continue; // defensive: stray transition on another line

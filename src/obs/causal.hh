@@ -7,9 +7,9 @@
  * The existing metrics say *how long* waiters stalled (sync
  * percentiles, park_ticks histograms); this layer says *where the time
  * went*. Instrumentation in the core resume path, all three coherence
- * protocols, and the NoC appends plain records into per-timing-domain
- * shards; after the run the tracker stitches them into an exact
- * partition of `stall_cycles` by segment:
+ * protocols, and the NoC appends plain records to the tracker; after
+ * the run it stitches them into an exact partition of `stall_cycles`
+ * by segment:
  *
  *   - `noc_request`  — issue until the waiter parks (request travel +
  *                      directory service);
@@ -29,13 +29,10 @@
  *                      metrics.stall_cycles (tests/obs/causal_test.cpp
  *                      asserts the reconciliation).
  *
- * Determinism contract: each shard is appended to only by the worker
- * that owns its timing domain; the fold (under the PDES window barrier
- * and once at end of run) concatenates shards in domain order, and the
- * stitcher re-sorts everything by a total order — (core, tick) works
- * because a core has one outstanding memory op — so the `causal[]`
- * rows are byte-identical across sweep `--jobs` and kernel `--threads`
- * worker counts (scripts/check_causal.sh). The hot-path cost with
+ * Determinism contract: records are appended in event order and the
+ * stitcher re-sorts them by (core, tick) — a core has one outstanding
+ * memory op — so the `causal[]` rows are byte-identical across sweep
+ * `--jobs` worker counts (scripts/check_causal.sh). The hot-path cost with
  * tracing off is a single null-pointer compare per site, like
  * attribution (BENCH_pr10.json A/B-verifies ~0%).
  */
@@ -96,13 +93,13 @@ struct CausalRow
 extern const std::vector<std::string> kCausalFields;
 
 /**
- * One per-timing-domain append target. Only the worker executing the
- * owning domain's events touches it during a window; the tracker folds
- * shards under the barrier. alignas(64) keeps shards on distinct cache
- * lines.
+ * The run-wide causal record store. Each instrumented component holds
+ * a CausalTracker* (null = off) and appends through the record*()
+ * methods; the Chip calls rows() once after the run.
  */
-struct alignas(64) CausalShard
+class CausalTracker
 {
+  public:
     /** A completed core memory-stall window [issue, complete). */
     struct Stall
     {
@@ -125,85 +122,43 @@ struct alignas(64) CausalShard
         bool spurious = false; ///< wake only: eviction / watch timeout
     };
 
-    std::vector<Stall> stalls;
-    std::vector<Transition> transitions;
-    std::uint64_t requestFlitHops = 0; ///< sync/spin request traffic
-    std::uint64_t wakeFlitHops = 0;    ///< wake/invalidation traffic
-
     void
     recordStall(CoreId core, Addr addr, Tick issue, Tick complete,
                 bool cb, bool spin, bool sync)
     {
-        stalls.push_back(Stall{issue, complete, addr, core, cb, spin,
-                               sync});
+        stalls_.push_back(Stall{issue, complete, addr, core, cb, spin,
+                                sync});
     }
 
     void
     recordPark(Addr key, CoreId core, Tick tick)
     {
-        transitions.push_back(Transition{tick, key, core, false, false});
+        transitions_.push_back(Transition{tick, key, core, false, false});
     }
 
     void
     recordWake(Addr key, CoreId core, Tick tick, bool spurious)
     {
-        transitions.push_back(Transition{tick, key, core, true,
-                                         spurious});
+        transitions_.push_back(Transition{tick, key, core, true,
+                                          spurious});
     }
 
-    void addRequestHops(std::uint64_t h) { requestFlitHops += h; }
-    void addWakeHops(std::uint64_t h) { wakeFlitHops += h; }
-
-    bool
-    empty() const
-    {
-        return stalls.empty() && transitions.empty() &&
-               requestFlitHops == 0 && wakeFlitHops == 0;
-    }
-};
-
-/**
- * The run-wide tracker: owns one CausalShard per timing domain plus the
- * folded record store. Wiring mirrors AttributionTable: each component
- * holds a CausalShard* for its domain (null = off), the Chip calls
- * fold() under the PDES barrier and rows() after the run.
- */
-class CausalTracker
-{
-  public:
-    explicit CausalTracker(unsigned domains)
-        : shards_(domains == 0 ? 1 : domains)
-    {
-    }
-
-    unsigned domainCount() const { return shards_.size(); }
-    CausalShard& shard(unsigned d) { return shards_[d]; }
+    void addRequestHops(std::uint64_t h) { requestFlitHops_ += h; }
+    void addWakeHops(std::uint64_t h) { wakeFlitHops_ += h; }
 
     /**
-     * Append every shard's records to the folded store, in domain
-     * order, and clear the shards. Called under the PDES window barrier
-     * (no worker is executing) and once after the run; with the classic
-     * kernel only the final call does anything.
-     */
-    void fold();
-
-    /**
-     * Stitch the folded records into the segment partition. Safe to
-     * call once, after the last fold(); sorts records by the
-     * (core, tick) total order first so the result is independent of
-     * fold interleaving.
+     * Stitch the records into the segment partition. Sorts them by the
+     * (core, tick) total order first.
      */
     std::vector<CausalRow> rows() const;
 
-    /** Folded record counts (tests). */
+    /** Record counts (tests). */
     std::size_t stallCount() const { return stalls_.size(); }
     std::size_t transitionCount() const { return transitions_.size(); }
 
   private:
-    std::vector<CausalShard> shards_; // deque-like stability not needed;
-                                      // sized once at construction
-    std::vector<CausalShard::Stall> stalls_;
-    std::vector<CausalShard::Transition> transitions_;
+    std::vector<Stall> stalls_;
+    std::vector<Transition> transitions_;
     std::uint64_t requestFlitHops_ = 0;
     std::uint64_t wakeFlitHops_ = 0;
 };

@@ -14,6 +14,10 @@
  *
  * Events are movable (buckets in the timing wheel relocate them on
  * vector growth), single-shot, and destroyed by the queue after firing.
+ * Destroying a trivially destructible callable is a no-op, so its
+ * operations table carries no destroy entry and the queue skips the
+ * indirect call: the hot events (mesh hops and deliveries, clocked
+ * wake-ups) capture only pointers and integers.
  *
  * The Clocked interface is the companion fast path: objects that run on
  * a per-tick cadence (in-order cores) register themselves once as
@@ -133,8 +137,16 @@ class Event
         void (*invoke)(void* p);
         /** Move-construct *src into dst, then destroy *src. */
         void (*relocate)(void* dst, void* src) noexcept;
+        /** Null when Fn is trivially destructible (nothing to run). */
         void (*destroy)(void* p) noexcept;
     };
+
+    template <typename Fn>
+    static void
+    destroyFn(void* p) noexcept
+    {
+        static_cast<Fn*>(p)->~Fn();
+    }
 
     template <typename Fn>
     static constexpr Ops opsFor = {
@@ -143,14 +155,15 @@ class Event
             ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
             static_cast<Fn*>(src)->~Fn();
         },
-        [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
+        std::is_trivially_destructible_v<Fn> ? nullptr : &destroyFn<Fn>,
     };
 
     void
     reset() noexcept
     {
         if (ops_) {
-            ops_->destroy(payload_);
+            if (ops_->destroy)
+                ops_->destroy(payload_);
             ops_ = nullptr;
         }
     }

@@ -115,11 +115,11 @@ class Histogram
 
 // Attribution shards (src/obs/attribution.hh) register alongside
 // counters; StatSet stores only pointers so src/stats stays below
-// src/obs in the layering. Causal shards (src/obs/causal.hh) are
+// src/obs in the layering. The causal tracker (src/obs/causal.hh) is
 // forward-declared here for the same layering reason: components hold
-// only a CausalShard* behind their setCausal hooks.
+// only a CausalTracker* behind their setCausal hooks.
 class AttributionTable;
-struct CausalShard;
+class CausalTracker;
 
 /**
  * A registry mapping dotted stat names ("llc.accesses") to live counters

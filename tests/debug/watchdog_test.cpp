@@ -189,55 +189,6 @@ TEST(Forensics, ReportIsWellFormedOnAHealthyChip)
     EXPECT_NE(json.find("\"banks\""), std::string::npos);
 }
 
-TEST(Forensics, ParallelKernelDumpShowsDomainsAndWorkers)
-{
-    // Under the sharded kernel the dump must identify the kernel
-    // (threads/timing_domains) and add the parallel_kernel section:
-    // window bounds, per-domain queue state, per-worker phases — the
-    // data a sharded-kernel hang is diagnosed from.
-    ChipConfig cfg = testConfig(Technique::CbOne, 4);
-    cfg.threads = 2; // 2x2 mesh quarters: 4 timing domains
-    cfg.debug.forensicDir.clear();
-    Chip chip(cfg);
-    idleAll(chip);
-    Assembler a;
-    a.movImm(1, kFlag);
-    a.stThroughImm(7, 1);
-    a.ldThrough(2, 1);
-    chip.setProgram(0, a.assemble());
-    chip.run();
-    testing::internal::CaptureStderr();
-    chip.dumpForensics("unit test");
-    const std::string err = testing::internal::GetCapturedStderr();
-    const auto begin = err.find('{');
-    const auto end = err.rfind('}');
-    ASSERT_NE(begin, std::string::npos);
-    const std::string json = err.substr(begin, end - begin + 1);
-    EXPECT_TRUE(jsonlite::wellFormed(json)) << json;
-    EXPECT_NE(json.find("\"threads\": 2"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"timing_domains\": 4"), std::string::npos);
-    EXPECT_NE(json.find("\"parallel_kernel\""), std::string::npos);
-    EXPECT_NE(json.find("\"window_start\""), std::string::npos);
-    EXPECT_NE(json.find("\"lookahead\""), std::string::npos);
-    // All four domains and both workers are listed; after run() every
-    // worker has settled to idle.
-    EXPECT_NE(json.find("\"domain\": 3"), std::string::npos);
-    const auto workers = json.find("\"workers\"");
-    ASSERT_NE(workers, std::string::npos);
-    const auto firstIdle = json.find("\"idle\"", workers);
-    ASSERT_NE(firstIdle, std::string::npos);
-    EXPECT_NE(json.find("\"idle\"", firstIdle + 1), std::string::npos);
-    // The classic-kernel dump stays free of the section.
-    ChipConfig serial = testConfig(Technique::CbOne, 4);
-    serial.debug.forensicDir.clear();
-    Chip schip(serial);
-    idleAll(schip);
-    testing::internal::CaptureStderr();
-    schip.dumpForensics("unit test");
-    const std::string serr = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(serr.find("\"parallel_kernel\""), std::string::npos);
-}
-
 TEST(Forensics, LabelSanitization)
 {
     // Substituted labels carry a hash of the original so distinct

@@ -280,12 +280,7 @@ TEST(Retry, ExhaustedRetriesQuarantineTheCell)
     runner.add(bad);
     runner.add(tinyMicro("quar/fine", SyncMicro::TtasLock,
                          Technique::CbOne));
-    // Pin the kernel knob so the bundle must record it: a sharded-kernel
-    // crash is only reproducible with the exact kernel that failed.
-    const unsigned savedThreads = ChipConfig::defaultThreads();
-    ChipConfig::setDefaultThreads(2);
     const auto outcomes = runner.run();
-    ChipConfig::setDefaultThreads(savedThreads);
 
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_FALSE(outcomes[0].ok);
@@ -312,14 +307,12 @@ TEST(Retry, ExhaustedRetriesQuarantineTheCell)
     EXPECT_NE(line.find("--only-key 'quar/always-fails'"),
               std::string::npos)
         << line;
-    EXPECT_NE(line.find("--threads 2"), std::string::npos) << line;
     std::string jerr;
     const JsonValue job_doc =
         JsonValue::parseFile((bundle / "job.json").string(), jerr);
     EXPECT_TRUE(jerr.empty()) << jerr;
     EXPECT_EQ(job_doc.getString("key"), "quar/always-fails");
     EXPECT_EQ(job_doc.getString("status"), "failed");
-    EXPECT_EQ(job_doc.getNumber("threads"), 2.0);
 
     // The artifact row advertises the quarantine.
     ResultSink sink("quarantine_test");

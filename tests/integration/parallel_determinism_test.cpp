@@ -1,14 +1,12 @@
 /**
  * @file
- * Parallel-determinism tier (DESIGN.md §"Parallel event kernel"): the
- * sharded PDES kernel must produce byte-identical results for any
- * worker count, and identical *simulated* results to the classic
- * single-queue kernel. The domain count is a pure function of the
- * config (4 quadrants when the mesh quarters, else 1), never of the
- * worker count, so threads=1/2/4 runs execute the exact same kernel —
- * equality here proves the window scheduler, the cross-domain
- * channels, and the barrier drain order leak no thread-timing
- * nondeterminism into the results.
+ * Parallel-determinism tier: a sweep runs whole chips concurrently, one
+ * per worker thread, each on its own serial event kernel (DESIGN.md
+ * §2.1). Chips share no mutable state, so every cell's result must be
+ * identical for any worker count, and identical to the same cell run
+ * directly on the calling thread — scalars, sync latency summaries,
+ * the epoch series and the contention table. scripts/tsan_tests.sh
+ * runs this suite under ThreadSanitizer (tsan_parallel_kernel).
  *
  * These are determinism tests, not speedup tests: they are meaningful
  * (and run) on a single-CPU host.
@@ -16,53 +14,56 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "debug/debug_config.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "system/chip_config.hh"
 
 namespace cbsim {
 namespace {
 
-/** Set the process-wide worker knob for one run, restore on exit. */
-class ThreadsScope
+/**
+ * Turn on epoch sampling and contention attribution in the process
+ * defaults for one test, restore on exit. Sweep workers resolve
+ * DebugConfig::current() from the process defaults, so a thread-local
+ * DebugScope would not reach them.
+ */
+class ObservedDefaults
 {
   public:
-    explicit ThreadsScope(unsigned threads)
-        : saved_(ChipConfig::defaultThreads())
+    ObservedDefaults() : saved_(DebugConfig::processDefaults())
     {
-        ChipConfig::setDefaultThreads(threads);
+        DebugConfig& d = DebugConfig::processDefaults();
+        d.obs.epochTicks = 500;
+        d.obs.attribution = true;
     }
-    ~ThreadsScope() { ChipConfig::setDefaultThreads(saved_); }
+    ~ObservedDefaults() { DebugConfig::processDefaults() = saved_; }
 
-    ThreadsScope(const ThreadsScope&) = delete;
-    ThreadsScope& operator=(const ThreadsScope&) = delete;
+    ObservedDefaults(const ObservedDefaults&) = delete;
+    ObservedDefaults& operator=(const ObservedDefaults&) = delete;
 
   private:
-    unsigned saved_;
+    DebugConfig saved_;
 };
 
 /**
- * Every serialized quantity of a run: scalar counters (minus the
- * kernel-identity "threads" field when @p dropKernelId), sync latency
+ * Every serialized quantity of a run: scalar counters, sync latency
  * summaries, the epoch series, and the contention table. Two runs
- * whose signatures match produce byte-identical artifacts modulo
- * kernel identity.
+ * whose signatures match produce byte-identical artifacts.
  */
 void
-expectSameSignature(const ExperimentResult& a, const ExperimentResult& b,
-                    bool dropKernelId)
+expectSameSignature(const ExperimentResult& a, const ExperimentResult& b)
 {
     const auto fa = a.run.scalarFields();
     const auto fb = b.run.scalarFields();
     ASSERT_EQ(fa.size(), fb.size());
     for (std::size_t i = 0; i < fa.size(); ++i) {
         ASSERT_STREQ(fa[i].first, fb[i].first);
-        if (dropKernelId && std::string_view(fa[i].first) == "threads")
-            continue;
         EXPECT_EQ(fa[i].second, fb[i].second) << fa[i].first;
     }
     for (std::size_t k = 0; k < SyncStats::numKinds; ++k) {
@@ -75,92 +76,121 @@ expectSameSignature(const ExperimentResult& a, const ExperimentResult& b,
     EXPECT_EQ(a.run.contention, b.run.contention);
 }
 
-/** One benchmark run with the observability layer fully enabled. */
-ExperimentResult
-observedRun(Technique t, unsigned threads)
+/** Run @p jobs on a @p workers-thread sweep; every cell must succeed. */
+std::vector<ExperimentResult>
+sweep(const std::vector<SweepJob>& jobs, unsigned workers)
 {
-    DebugConfig cfg = DebugConfig::current();
-    cfg.obs.epochTicks = 500;
-    cfg.obs.attribution = true;
-    DebugScope debug(cfg);
-    ThreadsScope scope(threads);
+    SweepRunner runner(workers);
+    for (const SweepJob& j : jobs)
+        runner.add(j);
+    std::vector<ExperimentResult> results;
+    for (JobOutcome& o : runner.run()) {
+        EXPECT_TRUE(o.ok) << o.error;
+        results.push_back(std::move(o.result));
+    }
+    return results;
+}
+
+/** The benchmark cell of every test here: a short ocean at 16 cores. */
+Profile
+smallOcean()
+{
     Profile p = scaled(benchmark("ocean"), 0.25);
     p.phases = 2;
-    return runExperiment(p, t, 16);
+    return p;
 }
 
 TEST(ParallelDeterminism, WorkerCountNeverChangesBenchmarkResults)
 {
+    ObservedDefaults observed;
+    std::vector<SweepJob> jobs;
     for (Technique t : {Technique::Invalidation, Technique::BackOff10,
-                        Technique::CbAll, Technique::CbOne}) {
-        const auto t1 = observedRun(t, 1);
-        EXPECT_EQ(t1.run.threads, 4u); // 4x4 mesh quarters
-        for (unsigned workers : {2u, 4u, 7u}) {
-            const auto tn = observedRun(t, workers);
-            expectSameSignature(t1, tn, /*dropKernelId=*/false);
-        }
+                        Technique::CbAll, Technique::CbOne})
+        jobs.push_back(
+            SweepJob::forProfile(techniqueName(t), smallOcean(), t, 16));
+    const auto w1 = sweep(jobs, 1);
+    ASSERT_EQ(w1.size(), jobs.size());
+    EXPECT_FALSE(w1[0].run.epochs.empty());
+    EXPECT_FALSE(w1[0].run.contention.empty());
+    for (unsigned workers : {2u, 4u, 7u}) {
+        const auto wn = sweep(jobs, workers);
+        ASSERT_EQ(wn.size(), w1.size());
+        for (std::size_t c = 0; c < w1.size(); ++c)
+            expectSameSignature(w1[c], wn[c]);
     }
 }
 
 TEST(ParallelDeterminism, ShardedKernelTracksClassicKernel)
 {
-    // The two kernels are distinct interleavings of the same machine:
-    // same-tick ties resolve by global insertion order in the classic
-    // kernel but by (domain history, barrier drain order) in the
-    // sharded one — which is precisely why the domain count is folded
-    // into the config hash and cross-kernel artifacts never mix.
-    // Same-tick reorderings perturb spin-loop timing (and with it
-    // every retired-spin counter) only marginally, so the kernels must
-    // agree to well under 1% — a kernel-level bug (lost events, wrong
-    // window edges) would blow far past that.
-    const auto near = [](std::uint64_t x, std::uint64_t y) {
-        const double a = static_cast<double>(x);
-        EXPECT_NEAR(a, static_cast<double>(y), a * 0.01);
-    };
-    for (Technique t : {Technique::Invalidation, Technique::CbOne}) {
-        const auto classic = observedRun(t, 0);
-        const auto sharded = observedRun(t, 1);
-        EXPECT_EQ(classic.run.threads, 0u);
-        EXPECT_EQ(sharded.run.threads, 4u);
-        near(classic.run.instructions, sharded.run.instructions);
-        near(classic.run.cycles, sharded.run.cycles);
-        near(classic.run.llcAccesses, sharded.run.llcAccesses);
-        near(classic.run.packets, sharded.run.packets);
+    // The cells of a sweep are sharded over worker threads, each chip
+    // running its own kernel next to the others; the classic way is one
+    // runExperiment() call on the calling thread. The two must agree
+    // exactly — not within a tolerance — since a chip's event order is
+    // a pure function of its config: any difference means a sweep job
+    // builds a different machine, or concurrent chips share state.
+    ObservedDefaults observed;
+    const std::vector<Technique> techniques = {Technique::Invalidation,
+                                               Technique::CbOne};
+    std::vector<SweepJob> jobs;
+    for (Technique t : techniques)
+        jobs.push_back(
+            SweepJob::forProfile(techniqueName(t), smallOcean(), t, 16));
+    const auto sharded = sweep(jobs, 4);
+    ASSERT_EQ(sharded.size(), techniques.size());
+    for (std::size_t c = 0; c < techniques.size(); ++c) {
+        const ExperimentResult classic =
+            runExperiment(smallOcean(), techniques[c], 16);
+        EXPECT_GT(classic.run.instructions, 0u);
+        EXPECT_EQ(classic.run.events, sharded[c].run.events);
+        expectSameSignature(classic, sharded[c]);
     }
 }
 
 TEST(ParallelDeterminism, SyncMicrosAreWorkerCountInvariant)
 {
+    std::vector<SweepJob> jobs;
     for (SyncMicro m : {SyncMicro::TtasLock, SyncMicro::ClhLock,
-                        SyncMicro::TreeBarrier}) {
-        ThreadsScope one(1);
-        const auto t1 = runSyncMicro(m, Technique::CbOne, 16, 3);
-        for (unsigned workers : {2u, 4u}) {
-            ThreadsScope scope(workers);
-            const auto tn = runSyncMicro(m, Technique::CbOne, 16, 3);
-            expectSameSignature(t1, tn, /*dropKernelId=*/false);
-        }
+                        SyncMicro::TreeBarrier})
+        jobs.push_back(SweepJob::forMicro(syncMicroName(m), m,
+                                          Technique::CbOne, 16, 3));
+    const auto w1 = sweep(jobs, 1);
+    ASSERT_EQ(w1.size(), jobs.size());
+    for (unsigned workers : {2u, 4u}) {
+        const auto wn = sweep(jobs, workers);
+        ASSERT_EQ(wn.size(), w1.size());
+        for (std::size_t c = 0; c < w1.size(); ++c)
+            expectSameSignature(w1[c], wn[c]);
     }
 }
 
 TEST(ParallelDeterminism, SmallMeshCollapsesToOneDomain)
 {
-    // A 1x1 mesh cannot quarter: the parallel kernel degenerates to
-    // one domain and still matches the classic kernel.
-    const auto t0 = [] {
-        ThreadsScope classic(0);
-        return runSyncMicro(SyncMicro::TtasLock, Technique::CbOne, 1, 2,
-                            500);
-    }();
-    const auto t4 = [] {
-        ThreadsScope sharded(4);
-        return runSyncMicro(SyncMicro::TtasLock, Technique::CbOne, 1, 2,
-                            500);
-    }();
-    EXPECT_EQ(t0.run.threads, 0u);
-    EXPECT_EQ(t4.run.threads, 1u);
-    EXPECT_EQ(t0.run.events, t4.run.events);
-    expectSameSignature(t0, t4, /*dropKernelId=*/true);
+    // A 1x1 mesh is the degenerate chip: one node, every message a
+    // local delivery. Four copies of it running side by side must each
+    // match the run on the calling thread event for event, and every
+    // result names the one serial kernel: the artifact's "threads"
+    // field stays the constant 0 that keeps old goldens and journal
+    // config hashes valid.
+    const ExperimentResult direct =
+        runSyncMicro(SyncMicro::TtasLock, Technique::CbOne, 1, 2, 500);
+    std::vector<SweepJob> jobs;
+    for (const char* key : {"a", "b", "c", "d"})
+        jobs.push_back(SweepJob::forMicro(key, SyncMicro::TtasLock,
+                                          Technique::CbOne, 1, 2, 500));
+    const auto copies = sweep(jobs, 4);
+    ASSERT_EQ(copies.size(), jobs.size());
+    for (const ExperimentResult& r : copies) {
+        EXPECT_EQ(direct.run.events, r.run.events);
+        expectSameSignature(direct, r);
+    }
+    bool sawThreads = false;
+    for (const auto& [name, value] : direct.run.scalarFields()) {
+        if (std::string_view(name) == "threads") {
+            sawThreads = true;
+            EXPECT_EQ(value, 0u);
+        }
+    }
+    EXPECT_TRUE(sawThreads);
 }
 
 } // namespace

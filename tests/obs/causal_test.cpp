@@ -4,14 +4,17 @@
  * tracing): the reconciliation contract (segment cycles are an exact
  * partition of stall_cycles), off-by-default no-op, per-technique
  * segment sanity, and the schema-v7 determinism contract — the
- * "causal" array must be byte-identical across sweep worker counts
- * and across parallel-kernel --threads counts.
+ * "causal" array must be byte-identical across sweep worker counts,
+ * and a chip traced inside a sweep must match one traced on the
+ * calling thread.
  */
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "debug/debug_config.hh"
 #include "harness/experiment.hh"
@@ -36,21 +39,6 @@ class CausalScope
   private:
     DebugConfig cfg_;
     std::optional<DebugScope> scope_;
-};
-
-/** Pin the parallel-kernel worker count for the enclosing scope. */
-class ThreadsScope
-{
-  public:
-    explicit ThreadsScope(unsigned threads)
-        : saved_(ChipConfig::defaultThreads())
-    {
-        ChipConfig::setDefaultThreads(threads);
-    }
-    ~ThreadsScope() { ChipConfig::setDefaultThreads(saved_); }
-
-  private:
-    unsigned saved_;
 };
 
 std::uint64_t
@@ -211,49 +199,76 @@ TEST(CausalDeterminism, ByteIdenticalAcrossSweepWorkers)
     EXPECT_EQ(serial, parallel);
 }
 
+/** Run @p jobs with causal tracing on and @p workers sweep threads. */
+std::vector<RunResult>
+causalSweep(const std::vector<SweepJob>& jobs, unsigned workers)
+{
+    DebugConfig& defaults = DebugConfig::processDefaults();
+    const DebugConfig saved = defaults;
+    defaults.obs.causal = true;
+    SweepRunner runner(workers);
+    for (const SweepJob& j : jobs)
+        runner.add(j);
+    std::vector<JobOutcome> outcomes = runner.run();
+    defaults = saved;
+    std::vector<RunResult> runs;
+    for (JobOutcome& o : outcomes) {
+        EXPECT_TRUE(o.ok) << o.error;
+        runs.push_back(std::move(o.result.run));
+    }
+    return runs;
+}
+
 TEST(CausalDeterminism, RowsAreWorkerCountInvariantOnParallelKernel)
 {
-    // 16 cores → a 4x4 mesh → 4 timing domains under any --threads >= 1;
-    // the stitched rows must be identical for every worker count, and
-    // the partition must still reconcile against the parallel kernel's
+    // 16-core chips, one per sweep worker, stitching their rows
+    // concurrently: the rows must be identical for every worker count,
+    // and each chip's partition must still reconcile against its own
     // stall total.
-    CausalScope causal;
-    std::vector<std::vector<CausalRow>> rows;
-    std::uint64_t stalls = 0;
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        ThreadsScope scope(threads);
-        const ExperimentResult r =
-            runSyncMicro(SyncMicro::TtasLock, Technique::CbOne, 16, 2,
-                         500);
-        EXPECT_EQ(totalCycles(r.run.causal), r.run.stallCycles);
-        rows.push_back(r.run.causal);
-        stalls = r.run.stallCycles;
+    std::vector<SweepJob> jobs;
+    for (const Technique t : {Technique::Invalidation, Technique::CbAll,
+                              Technique::CbOne})
+        jobs.push_back(SweepJob::forMicro(techniqueName(t),
+                                          SyncMicro::TtasLock, t, 16, 2,
+                                          500));
+    std::vector<std::vector<RunResult>> sweeps;
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        sweeps.push_back(causalSweep(jobs, workers));
+        ASSERT_EQ(sweeps.back().size(), jobs.size());
+        for (const RunResult& r : sweeps.back()) {
+            EXPECT_GT(r.stallCycles, 0u);
+            EXPECT_EQ(totalCycles(r.causal), r.stallCycles);
+        }
     }
-    EXPECT_GT(stalls, 0u);
-    EXPECT_EQ(rows[0], rows[1]);
-    EXPECT_EQ(rows[0], rows[2]);
+    for (std::size_t c = 0; c < jobs.size(); ++c) {
+        EXPECT_EQ(sweeps[0][c].causal, sweeps[1][c].causal);
+        EXPECT_EQ(sweeps[0][c].causal, sweeps[2][c].causal);
+    }
 }
 
 TEST(CausalDeterminism, ParallelKernelMatchesClassicKernel)
 {
-    // The domain partition changes event interleaving but not the
-    // simulated machine; with identical configs the classic (threads=0)
-    // kernel runs a different domain count, so compare --threads runs
-    // only among themselves (v6 contract) — but the *reconciliation*
-    // must hold on both kernels.
-    CausalScope causal;
-    {
-        ThreadsScope scope(0);
-        const ExperimentResult r = runSyncMicro(
-            SyncMicro::SrBarrier, Technique::CbAll, 16, 2, 500);
-        EXPECT_EQ(totalCycles(r.run.causal), r.run.stallCycles);
-    }
-    {
-        ThreadsScope scope(2);
-        const ExperimentResult r = runSyncMicro(
-            SyncMicro::SrBarrier, Technique::CbAll, 16, 2, 500);
-        EXPECT_EQ(totalCycles(r.run.causal), r.run.stallCycles);
-    }
+    // The same barrier cell traced on the calling thread and inside a
+    // two-worker sweep, next to a second chip: the rows must match and
+    // the reconciliation must hold on both.
+    const RunResult classic = [] {
+        CausalScope causal;
+        return runSyncMicro(SyncMicro::SrBarrier, Technique::CbAll, 16, 2,
+                            500)
+            .run;
+    }();
+    const std::vector<RunResult> parallel = causalSweep(
+        {SweepJob::forMicro("sr", SyncMicro::SrBarrier, Technique::CbAll,
+                            16, 2, 500),
+         SweepJob::forMicro("ttas", SyncMicro::TtasLock, Technique::CbOne,
+                            16, 2, 500)},
+        2);
+    ASSERT_EQ(parallel.size(), 2u);
+    EXPECT_FALSE(classic.causal.empty());
+    EXPECT_EQ(totalCycles(classic.causal), classic.stallCycles);
+    EXPECT_EQ(totalCycles(parallel[0].causal), parallel[0].stallCycles);
+    EXPECT_EQ(classic.causal, parallel[0].causal);
+    EXPECT_EQ(classic.stallCycles, parallel[0].stallCycles);
 }
 
 } // namespace

@@ -98,8 +98,8 @@ TEST(GoldenTrace, ByteIdenticalAcrossWorkerCounts)
 
 TEST(GoldenTrace, ByteIdenticalUnderInvariantChecking)
 {
-    // The checker observes the same simulation (sendDebug vs send must
-    // sample identically); traces must not depend on it.
+    // The checker observes the same simulation (its message tracking
+    // must not change any hop's timing); traces must not depend on it.
     const auto checked = runTracedSweep(2, true);
     const auto unchecked = runTracedSweep(2, false);
     ASSERT_EQ(checked.size(), unchecked.size());

@@ -15,6 +15,7 @@
 
 #include "debug/debug_config.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "system/chip_config.hh"
 
 namespace cbsim {
@@ -75,55 +76,66 @@ TEST(ObsInteraction, EverythingOnMatchesAllOffExactly)
 
 TEST(ObsInteraction, EverythingOnIsWorkerCountInvariant)
 {
-    // The full observability stack on the parallel kernel: epoch cuts,
-    // attribution, invariants, and the watchdog all run under the
-    // window barrier, so a 4-worker run must match a 1-worker run
-    // event for event — same kernel event count, same metrics, same
-    // epoch series, row by row.
-    const std::string dir =
-        ::testing::TempDir() + "cbsim_obs_parallel";
-    std::filesystem::remove_all(dir);
-    DebugConfig cfg = DebugConfig::current();
-    cfg.obs.epochTicks = 500;
-    cfg.obs.traceDir = dir;
-    cfg.obs.attribution = true;
-    cfg.checkInvariants = true;
-    cfg.noProgressWindow = 1'000'000;
-    cfg.checkIntervalEvents = 64;
-    cfg.wallTimeoutS = 600.0;
-    DebugScope scope(cfg);
-
-    const auto at = [](unsigned workers) {
-        const unsigned saved = ChipConfig::defaultThreads();
-        ChipConfig::setDefaultThreads(workers);
-        ExperimentResult r = tinyMicro();
-        ChipConfig::setDefaultThreads(saved);
-        return r;
+    // The full observability stack in a sweep: every chip owns its
+    // epoch sampler, attribution shards, checker, watchdog and trace
+    // exporter, so a 4-worker sweep must match a 1-worker sweep cell
+    // for cell — same kernel event count, same metrics, same epoch
+    // series, row by row.
+    const auto sweep = [](unsigned workers) {
+        const std::string dir = ::testing::TempDir() +
+                                "cbsim_obs_workers_" +
+                                std::to_string(workers);
+        std::filesystem::remove_all(dir);
+        // Worker threads resolve DebugConfig::current() from the
+        // process defaults, so the settings must go there.
+        DebugConfig& defaults = DebugConfig::processDefaults();
+        const DebugConfig saved = defaults;
+        defaults.obs.epochTicks = 500;
+        defaults.obs.traceDir = dir;
+        defaults.obs.attribution = true;
+        defaults.checkInvariants = true;
+        defaults.noProgressWindow = 1'000'000;
+        defaults.checkIntervalEvents = 64;
+        defaults.wallTimeoutS = 600.0;
+        SweepRunner runner(workers);
+        for (const Technique t : {Technique::Invalidation,
+                                  Technique::BackOff10, Technique::CbAll,
+                                  Technique::CbOne})
+            runner.add(SweepJob::forMicro(techniqueName(t),
+                                          SyncMicro::TtasLock, t, 4, 2,
+                                          500));
+        std::vector<JobOutcome> outcomes = runner.run();
+        defaults = saved;
+        // Every cell's trace exporter ran and landed its file.
+        std::size_t traces = 0;
+        for (const auto& entry : std::filesystem::directory_iterator(dir))
+            if (entry.path().string().ends_with(".trace.json"))
+                ++traces;
+        EXPECT_EQ(traces, outcomes.size());
+        std::filesystem::remove_all(dir);
+        return outcomes;
     };
-    const ExperimentResult t1 = at(1);
-    const ExperimentResult t4 = at(4);
+    const std::vector<JobOutcome> w1 = sweep(1);
+    const std::vector<JobOutcome> w4 = sweep(4);
 
-    EXPECT_EQ(t1.run.threads, t4.run.threads); // same domain layout
-    EXPECT_EQ(t1.run.events, t4.run.events);   // event-for-event
-    const auto f1 = t1.run.scalarFields();
-    const auto f4 = t4.run.scalarFields();
-    ASSERT_EQ(f1.size(), f4.size());
-    for (std::size_t i = 0; i < f1.size(); ++i) {
-        ASSERT_STREQ(f1[i].first, f4[i].first);
-        EXPECT_EQ(f1[i].second, f4[i].second) << f1[i].first;
+    ASSERT_EQ(w1.size(), w4.size());
+    for (std::size_t c = 0; c < w1.size(); ++c) {
+        ASSERT_TRUE(w1[c].ok) << w1[c].error;
+        ASSERT_TRUE(w4[c].ok) << w4[c].error;
+        const RunResult& r1 = w1[c].result.run;
+        const RunResult& r4 = w4[c].result.run;
+        EXPECT_EQ(r1.events, r4.events); // event-for-event
+        const auto f1 = r1.scalarFields();
+        const auto f4 = r4.scalarFields();
+        ASSERT_EQ(f1.size(), f4.size());
+        for (std::size_t i = 0; i < f1.size(); ++i) {
+            ASSERT_STREQ(f1[i].first, f4[i].first);
+            EXPECT_EQ(f1[i].second, f4[i].second) << f1[i].first;
+        }
+        EXPECT_FALSE(r1.epochs.empty());
+        EXPECT_EQ(r1.epochs, r4.epochs);
+        EXPECT_EQ(r1.contention, r4.contention);
     }
-    ASSERT_EQ(t1.run.epochs.size(), t4.run.epochs.size());
-    for (std::size_t i = 0; i < t1.run.epochs.size(); ++i)
-        EXPECT_EQ(t1.run.epochs[i], t4.run.epochs[i]) << "epoch " << i;
-    EXPECT_EQ(t1.run.contention, t4.run.contention);
-
-    // The trace exporter ran under the parallel kernel too.
-    bool sawTrace = false;
-    for (const auto& entry : std::filesystem::directory_iterator(dir))
-        if (entry.path().string().ends_with(".trace.json"))
-            sawTrace = true;
-    EXPECT_TRUE(sawTrace);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ObsInteraction, EpochAndWatchdogHookOrderingIsStable)

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <random>
 #include <utility>
@@ -241,6 +242,112 @@ TEST(EventWheel, PendingEventsAreDestroyedWithTheQueue)
         EXPECT_FALSE(watch.expired());
     }
     EXPECT_TRUE(watch.expired());
+}
+
+/**
+ * Lifetime ledger for a non-trivially-destructible event callable.
+ * Every instance (moves included) adds one to `alive` and removes it
+ * on destruction, so `alive == 0` once the queue is done proves each
+ * instance was destroyed exactly once: a skipped destructor leaves it
+ * positive, a double destroy drives it negative.
+ */
+struct Ledger
+{
+    int alive = 0;
+    int destroyed = 0;
+    int fired = 0;
+};
+
+struct Tracked
+{
+    Ledger* ledger;
+
+    explicit Tracked(Ledger* l) : ledger(l) { ++ledger->alive; }
+    Tracked(Tracked&& o) noexcept : ledger(o.ledger) { ++ledger->alive; }
+    Tracked(const Tracked&) = delete;
+    ~Tracked()
+    {
+        --ledger->alive;
+        ++ledger->destroyed;
+    }
+    void operator()() { ++ledger->fired; }
+};
+
+static_assert(!std::is_trivially_destructible_v<Tracked>);
+static_assert(!std::is_trivially_destructible_v<std::function<void()>>);
+
+/** Fired events run their destructor (the skip is for trivial ones). */
+TEST(EventWheel, NonTrivialCallablesAreDestroyedOnceAfterFiring)
+{
+    Ledger ledger;
+    auto token = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = token;
+    {
+        EventQueue eq;
+        eq.schedule(1, Tracked(&ledger));
+        eq.schedule(1, Tracked(&ledger)); // same bucket
+        eq.schedule(5, Tracked(&ledger));
+        // A std::function completion, as the VIPS fence path schedules.
+        const std::function<void()> done = [t = std::move(token)] {
+            (void)*t;
+        };
+        eq.schedule(3, done);
+        eq.schedule(2, [] {}); // trivially destructible neighbour
+        eq.run();
+        EXPECT_EQ(ledger.fired, 3);
+        EXPECT_EQ(ledger.alive, 0);
+        EXPECT_EQ(eq.pendingEvents(), 0u);
+        // The scheduled copy is gone; only `done` still holds the token.
+        EXPECT_EQ(watch.use_count(), 1);
+    }
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(ledger.alive, 0);
+}
+
+/** Pending events, wheel and far-heap alike, die with the queue. */
+TEST(EventWheel, NonTrivialCallablesAreDestroyedOnceOnTeardown)
+{
+    Ledger ledger;
+    auto token = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = token;
+    {
+        EventQueue eq;
+        eq.schedule(4, Tracked(&ledger));
+        eq.schedule(100'000, Tracked(&ledger)); // far-heap slot
+        eq.schedule(9, std::function<void()>([t = std::move(token)] {
+                        (void)*t;
+                    }));
+        EXPECT_GT(ledger.alive, 0);
+        EXPECT_FALSE(watch.expired());
+    }
+    EXPECT_EQ(ledger.fired, 0);
+    EXPECT_EQ(ledger.alive, 0);
+    EXPECT_TRUE(watch.expired());
+}
+
+/** Far events migrate slot -> bucket and are destroyed once there. */
+TEST(EventWheel, NonTrivialCallablesAreDestroyedOnceAfterFarMigration)
+{
+    Ledger ledger;
+    auto token = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = token;
+    {
+        EventQueue eq;
+        const Tick far = 100'000; // well past the wheel window
+        eq.schedule(far, Tracked(&ledger));
+        eq.schedule(far, std::function<void()>([t = std::move(token)] {
+                        (void)*t;
+                    }));
+        // Re-park in a recycled far slot after the first migration.
+        eq.schedule(far + 1, [&eq, &ledger] {
+            eq.schedule(far, Tracked(&ledger));
+        });
+        eq.run();
+        EXPECT_EQ(ledger.fired, 2);
+        EXPECT_EQ(ledger.alive, 0);
+        EXPECT_TRUE(watch.expired());
+    }
+    EXPECT_EQ(ledger.alive, 0);
 }
 
 } // namespace
